@@ -244,18 +244,14 @@ class WindowIndex:
     """One entity's directory into the corpus' :class:`CorpusArrays`.
 
     ``windows`` is sorted ascending; window ``windows[k]`` owns the flat
-    slice ``[offsets[k], offsets[k] + counts[k])``.  ``slices`` is the
-    same directory as a dict (window -> ``(offset, count)``, insertion
-    order ascending): the batch kernel intersects *small* window sets
-    through it (dict lookups beat sorted-array intersection there, and
-    ``slices.keys().isdisjoint`` rejects non-overlapping pairs in O(min))
-    while large histories use the sorted arrays.
+    slice ``[offsets[k], offsets[k] + counts[k])``.  The batch kernel
+    joins a whole block's directories on ``(pair, window)`` keys in one
+    sort-merge pass, which relies on that ascending order.
     """
 
     windows: np.ndarray  # (W,) int64 populated leaf-window indices
     offsets: np.ndarray  # (W,) int64 starts into the corpus flats
     counts: np.ndarray  # (W,) int64 distinct cells per window
-    slices: Dict[int, Tuple[int, int]]  # window -> (offset, count)
 
     def __len__(self) -> int:
         return len(self.windows)
@@ -762,20 +758,15 @@ class HistoryCorpus:
         windows = np.fromiter(sorted(bins), dtype=np.int64, count=len(bins))
         offsets = np.empty(len(bins), dtype=np.int64)
         counts = np.empty(len(bins), dtype=np.int64)
-        slices: Dict[int, Tuple[int, int]] = {}
         for k, window in enumerate(windows.tolist()):
             cells = bins[window]
-            offset = base + len(cells_out)
-            offsets[k] = offset
+            offsets[k] = base + len(cells_out)
             counts[k] = len(cells)
-            slices[window] = (offset, len(cells))
             for cell in cells:
                 cells_out.append(cell)
                 slots_out.append(slot_of[cell])
                 keys_out.append(df_slot[(window, cell)])
-        return WindowIndex(
-            windows=windows, offsets=offsets, counts=counts, slices=slices
-        )
+        return WindowIndex(windows=windows, offsets=offsets, counts=counts)
 
     def _refresh_idf_flat(self) -> None:
         """Re-derive the flat IDF column from the current document
@@ -971,19 +962,10 @@ class HistoryCorpus:
                 np.repeat(index.offsets - within, index.counts)
                 + np.arange(total)
             )
-            offsets = cursor + within
             self._window_index[entity_id] = WindowIndex(
                 windows=index.windows,
-                offsets=offsets,
+                offsets=cursor + within,
                 counts=index.counts,
-                slices={
-                    int(w): (int(o), int(c))
-                    for w, o, c in zip(
-                        index.windows.tolist(),
-                        offsets.tolist(),
-                        index.counts.tolist(),
-                    )
-                },
             )
             cursor += total
         order = (

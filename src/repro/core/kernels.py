@@ -6,13 +6,14 @@ to Eq. 2 / Alg. 1 and easy to audit, but every one of the paper's figures
 spends most of its runtime there.  This module re-implements the same
 arithmetic over blocks of candidate pairs:
 
-1.  **Gather** — for every candidate pair, the temporal windows both
-    entities are active in are found with one sorted-array intersection
-    over the per-entity window directories
-    (:meth:`repro.core.corpus.HistoryCorpus.window_index`); each
-    ``(pair, window)`` *interaction* is then a slice of the corpus-wide
-    flat arrays (:meth:`repro.core.corpus.HistoryCorpus.arrays`: cell
-    ids, geometry-table slots, IDFs; Morton-sorted for locality).
+1.  **Gather** — one sort-merge join per block finds every
+    ``(pair, window)`` *interaction*: the block entities' window
+    directories (:meth:`repro.core.corpus.HistoryCorpus.window_index`)
+    are expanded per pair, keyed on ``pair * span + window`` and matched
+    by one ``searchsorted``, pair-major with windows ascending.  Each
+    interaction is a slice of the corpus-wide flat arrays
+    (:meth:`repro.core.corpus.HistoryCorpus.arrays`: cell ids,
+    geometry-table slots, IDFs; Morton-sorted for locality).
 2.  **Shape grouping** — interactions whose distance matrix is a *vector*
     (one cell on either side, the overwhelming majority in real
     workloads) are processed ragged in a single flat dispatch with
@@ -20,12 +21,15 @@ arithmetic over blocks of candidate pairs:
     (``m, n >= 2``) are padded into square power-of-two buckets
     (``pow2ceil(max(m, n))``), so a whole block needs only a handful of
     dense ``(B, s, s)`` tensor dispatches.
-3.  **Distance** — the pairwise cell distances of a whole group are
-    computed in one shot: haversine centre angle from precomputed
-    lat/lng/cos(lat) minus both circumradii, clamped at zero, with
-    identical cells forced to exactly ``0.0`` — the same lower-bound
-    formula as :meth:`repro.geo.cell.CellId.distance_meters`, evaluated on
-    the same per-cell constants.
+3.  **Distance** — haversine centre angle from precomputed
+    lat/lng/cos(lat) minus both circumradii, clamped at zero, identical
+    cells exactly ``0.0`` (the lower bound of
+    :meth:`repro.geo.cell.CellId.distance_meters` on the same per-cell
+    constants), then the Eq. 1 proximity.  When the cell tables hold no
+    more slot pairs (``C_u * C_v``) than the block's ``sum(m * n)``
+    evaluations, both are computed once per slot pair and gathered by
+    ``slot_u * C_v + slot_v``; otherwise per element.  The arithmetic is
+    the same either way, so the cost rule never changes a bit.
 4.  **Pairing** — greedy mutually-nearest (MNN) and mutually-furthest
     (MFN) selections are run for all matrices of a group simultaneously:
     one stable ``argsort`` over the flattened matrices, then ``m*n``
@@ -73,12 +77,12 @@ array([[False,  True],
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Sequence, Tuple
 
 import numpy as np
 
 from ..geo.point import EARTH_RADIUS_METERS
-from .corpus import HistoryCorpus
+from .corpus import CellTable, HistoryCorpus
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from .similarity import SimilarityConfig
@@ -89,11 +93,6 @@ __all__ = [
     "score_pairs_batch",
     "greedy_select_batch",
 ]
-
-#: Histories at or below this many populated windows intersect through
-#: their window dicts; larger ones use one sorted numpy intersection.
-_DICT_INTERSECT_MAX_WINDOWS = 64
-
 
 class BatchScoreResult:
     """Per-pair outputs of one batch kernel dispatch (parallel arrays)."""
@@ -255,54 +254,104 @@ def _pow2ceil(values: np.ndarray) -> np.ndarray:
 
 
 def _cell_distances(
-    lat_u: np.ndarray,
-    lng_u: np.ndarray,
-    cos_u: np.ndarray,
-    rad_u: np.ndarray,
+    geo_u: CellTable,
+    slots_u: np.ndarray,
     cells_u: np.ndarray,
-    lat_v: np.ndarray,
-    lng_v: np.ndarray,
-    cos_v: np.ndarray,
-    rad_v: np.ndarray,
+    geo_v: CellTable,
+    slots_v: np.ndarray,
     cells_v: np.ndarray,
 ) -> np.ndarray:
-    """Elementwise cell distances over broadcastable geometry arrays:
-    haversine centre separation minus both circumradii, clamped at zero;
-    identical cells are exactly zero (the same lower bound as
-    :meth:`repro.geo.cell.CellId.distance_meters`)."""
+    """Elementwise cell distances over broadcastable slot arrays of two
+    cell tables: haversine centre separation minus both circumradii,
+    clamped at zero; identical cells are exactly zero (the same lower
+    bound as :meth:`repro.geo.cell.CellId.distance_meters`)."""
+    lat_u, cos_u = geo_u.lat[slots_u], geo_u.cos_lat[slots_u]
+    lat_v, cos_v = geo_v.lat[slots_v], geo_v.cos_lat[slots_v]
     sin_dlat = np.sin((lat_v - lat_u) * 0.5)
-    sin_dlng = np.sin((lng_v - lng_u) * 0.5)
+    sin_dlng = np.sin((geo_v.lng[slots_v] - geo_u.lng[slots_u]) * 0.5)
     haversine = sin_dlat * sin_dlat + (cos_u * cos_v) * sin_dlng * sin_dlng
     angle = 2.0 * np.arcsin(np.minimum(1.0, np.sqrt(haversine)))
-    separation = angle * EARTH_RADIUS_METERS - rad_u - rad_v
+    separation = (
+        angle * EARTH_RADIUS_METERS - geo_u.radius[slots_u] - geo_v.radius[slots_v]
+    )
     distances = np.maximum(separation, 0.0)
     distances[cells_u == cells_v] = 0.0
     return distances
 
 
-def _pairwise_distances(
-    left: HistoryCorpus,
-    right: HistoryCorpus,
-    u_slots: np.ndarray,
-    v_slots: np.ndarray,
-    u_cells: np.ndarray,
-    v_cells: np.ndarray,
-) -> np.ndarray:
-    """``(B, m, n)`` pairwise cell distances for one matrix bucket."""
-    geo_u = left.cell_table()
-    geo_v = right.cell_table()
-    return _cell_distances(
-        geo_u.lat[u_slots][:, :, None],
-        geo_u.lng[u_slots][:, :, None],
-        geo_u.cos_lat[u_slots][:, :, None],
-        geo_u.radius[u_slots][:, :, None],
-        u_cells[:, :, None],
-        geo_v.lat[v_slots][:, None, :],
-        geo_v.lng[v_slots][:, None, :],
-        geo_v.cos_lat[v_slots][:, None, :],
-        geo_v.radius[v_slots][:, None, :],
-        v_cells[:, None, :],
-    )
+def _slot_table_pays(cells_u: int, cells_v: int, evaluations: int) -> bool:
+    """Cost rule of :class:`_CellPairs`: tabulate only when the table is no
+    larger than the block's element-wise evaluations."""
+    return cells_u * cells_v <= evaluations
+
+
+class _CellPairs:
+    """Distances, Eq. 1 proximities and (IDF-weighted) contributions of
+    flat-bin index pairs.
+
+    When :func:`_slot_table_pays` for ``evaluations`` element-wise
+    evaluations, distances and proximities are evaluated once per
+    ``(left slot, right slot)`` pair of the corpora's cell tables and
+    gathered by the key ``slot_u * C_v + slot_v``; otherwise they are
+    evaluated element by element on the gathered per-cell constants.
+    Each value sees the same arithmetic on the same constants either way,
+    so both routes are bit-identical.
+    """
+
+    def __init__(
+        self,
+        left: HistoryCorpus,
+        right: HistoryCorpus,
+        config: "SimilarityConfig",
+        evaluations: int,
+    ) -> None:
+        self._flats_u = left.arrays()
+        self._flats_v = right.arrays()
+        self._geo_u = left.cell_table()
+        self._geo_v = right.cell_table()
+        self._use_idf = config.use_idf
+        self._runaway = config.runaway_meters
+        self._ceiling = 2.0 - config.alibi_eps
+        self._width = len(self._geo_v.cell_ids)
+        self._table: "Tuple[np.ndarray, np.ndarray] | None" = None
+        if _slot_table_pays(len(self._geo_u.cell_ids), self._width, evaluations):
+            distances = _cell_distances(
+                self._geo_u,
+                np.arange(len(self._geo_u.cell_ids))[:, None],
+                self._geo_u.cell_ids[:, None],
+                self._geo_v,
+                np.arange(self._width),
+                self._geo_v.cell_ids,
+            ).ravel()
+            self._table = (distances, self._proximity(distances))
+
+    def _proximity(self, distances: np.ndarray) -> np.ndarray:
+        return np.log2(2.0 - np.minimum(distances / self._runaway, self._ceiling))
+
+    def __call__(
+        self, u_idx: np.ndarray, v_idx: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(distances, proximities, contributions)`` broadcast over flat
+        index arrays (a contribution is the proximity times the min IDF)."""
+        slots_u = self._flats_u.slots[u_idx]
+        slots_v = self._flats_v.slots[v_idx]
+        if self._table is not None:
+            key = slots_u * self._width + slots_v
+            distances, prox = self._table[0][key], self._table[1][key]
+        else:
+            distances = _cell_distances(
+                self._geo_u,
+                slots_u,
+                self._flats_u.cells[u_idx],
+                self._geo_v,
+                slots_v,
+                self._flats_v.cells[v_idx],
+            )
+            prox = self._proximity(distances)
+        if not self._use_idf:
+            return distances, prox, prox
+        weight = np.minimum(self._flats_u.idf[u_idx], self._flats_v.idf[v_idx])
+        return distances, prox, prox * weight
 
 
 def _segment_first_extreme(
@@ -327,8 +376,7 @@ def _segment_first_extreme(
 
 
 def _score_vector_interactions(
-    left: HistoryCorpus,
-    right: HistoryCorpus,
+    cell_pairs: _CellPairs,
     config: "SimilarityConfig",
     runaway: float,
     pair_of: np.ndarray,
@@ -348,38 +396,13 @@ def _score_vector_interactions(
     to a plain segment sum, so no greedy loop is needed at all.
     """
     lengths = count_u * count_v
-    total = int(lengths.sum())
-    seg_start = np.zeros(len(lengths), dtype=np.int64)
-    np.cumsum(lengths[:-1], out=seg_start[1:])
-    position = np.arange(total) - np.repeat(seg_start, lengths)
+    seg_start = np.cumsum(lengths) - lengths
+    position = _ragged_arange(np.zeros_like(lengths), lengths)
     u_advances = np.repeat(count_v == 1, lengths)
     u_idx = np.repeat(off_u, lengths) + np.where(u_advances, position, 0)
     v_idx = np.repeat(off_v, lengths) + np.where(u_advances, 0, position)
 
-    flats_u = left.arrays()
-    flats_v = right.arrays()
-    geo_u = left.cell_table()
-    geo_v = right.cell_table()
-    slots_u = flats_u.slots[u_idx]
-    slots_v = flats_v.slots[v_idx]
-    distances = _cell_distances(
-        geo_u.lat[slots_u],
-        geo_u.lng[slots_u],
-        geo_u.cos_lat[slots_u],
-        geo_u.radius[slots_u],
-        flats_u.cells[u_idx],
-        geo_v.lat[slots_v],
-        geo_v.lng[slots_v],
-        geo_v.cos_lat[slots_v],
-        geo_v.radius[slots_v],
-        flats_v.cells[v_idx],
-    )
-    ratio = np.minimum(distances / runaway, 2.0 - config.alibi_eps)
-    prox = np.log2(2.0 - ratio)
-    if config.use_idf:
-        contribution = prox * np.minimum(flats_u.idf[u_idx], flats_v.idf[v_idx])
-    else:
-        contribution = prox
+    distances, prox, contribution = cell_pairs(u_idx, v_idx)
 
     if config.pairing == "mnn":
         nearest = _segment_first_extreme(distances, seg_start, lengths, largest=False)
@@ -402,41 +425,30 @@ def _score_vector_interactions(
 
 
 def _score_shape_group(
-    left: HistoryCorpus,
-    right: HistoryCorpus,
+    cell_pairs: _CellPairs,
     config: "SimilarityConfig",
     runaway: float,
     pair_index: np.ndarray,
-    u_slots: np.ndarray,
-    v_slots: np.ndarray,
-    u_cells: np.ndarray,
-    v_cells: np.ndarray,
-    u_idf: np.ndarray,
-    v_idf: np.ndarray,
+    idx_u: np.ndarray,
+    idx_v: np.ndarray,
     valid: "np.ndarray | None",
     totals: np.ndarray,
     alibi_bins: np.ndarray,
 ) -> None:
     """Score every interaction of one padded shape bucket in place.
 
+    ``idx_u`` / ``idx_v`` are the ``(B, s)`` flat-bin rows of each side.
     ``valid`` masks real (non-padded) matrix entries; ``None`` means the
     whole bucket is unpadded.  Padded rows/columns duplicate the last real
     cell of their side, so the distance math never sees garbage — they are
     simply excluded from selection and aggregation.
     """
-    rows = u_slots.shape[1]
-    cols = v_slots.shape[1]
+    rows = idx_u.shape[1]
+    cols = idx_v.shape[1]
     mnn = config.pairing == "mnn"
     use_mfn = config.use_mfn and mnn and (rows > 1 or cols > 1)
 
-    distances = _pairwise_distances(left, right, u_slots, v_slots, u_cells, v_cells)
-    ratio = np.minimum(distances / runaway, 2.0 - config.alibi_eps)
-    prox = np.log2(2.0 - ratio)
-    if config.use_idf:
-        weight = np.minimum(u_idf[:, :, None], v_idf[:, None, :])
-        contribution = prox * weight
-    else:
-        contribution = prox
+    distances, prox, contribution = cell_pairs(idx_u[:, :, None], idx_v[:, None, :])
 
     if mnn:
         selected = greedy_select_batch(distances, reverse=False, valid=valid)
@@ -475,6 +487,80 @@ def _score_shape_group(
     np.add.at(alibi_bins, pair_index, group_alibi)
 
 
+def _ragged_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(s, s + n) for s, n in zip(starts, lengths)])``
+    in one vector pass.
+
+    >>> _ragged_arange(np.array([5, 0, 2]), np.array([2, 0, 3])).tolist()
+    [5, 6, 2, 3, 4]
+    """
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(
+        starts - (ends - lengths), lengths
+    )
+
+
+def _block_directory(
+    corpus: HistoryCorpus, entities: Sequence[str]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The window directories of a block's distinct entities, fetched once
+    and concatenated: ``(windows, offsets, counts, rows, lengths)``.
+    ``rows`` lists the directory rows of ``entities[0]`` (windows
+    ascending), then of ``entities[1]``, and so on; ``lengths[i]`` is the
+    number of rows of ``entities[i]``."""
+    ordinal: Dict[str, int] = {}
+    position = [ordinal.setdefault(entity, len(ordinal)) for entity in entities]
+    indexes = [corpus.window_index(entity) for entity in ordinal]
+    sizes = np.array([len(index) for index in indexes], dtype=np.int64)
+    lengths = sizes[position]
+    return (
+        np.concatenate([index.windows for index in indexes]),
+        np.concatenate([index.offsets for index in indexes]),
+        np.concatenate([index.counts for index in indexes]),
+        _ragged_arange((np.cumsum(sizes) - sizes)[position], lengths),
+        lengths,
+    )
+
+
+def _join_windows(
+    left: HistoryCorpus,
+    right: HistoryCorpus,
+    pairs: Sequence[Tuple[str, str]],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every ``(pair, common window)`` interaction of a non-empty block in
+    one sort-merge join: ``(pair, offset_u, count_u, offset_v, count_v)``,
+    pair-major with windows ascending.
+
+    Each side's directory rows are expanded per pair and keyed on
+    ``pair * span + window``.  Both key arrays come out sorted, so one
+    ``searchsorted`` of the left keys into the right keys finds every
+    match, in key order.
+    """
+    lefts, rights = zip(*pairs)
+    win_u, off_u, count_u, rows_u, len_u = _block_directory(left, lefts)
+    win_v, off_v, count_v, rows_v, len_v = _block_directory(right, rights)
+    if not rows_u.size or not rows_v.size:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, empty, empty, empty
+    low = min(int(win_u.min()), int(win_v.min()))
+    span = max(int(win_u.max()), int(win_v.max())) - low + 1
+    base = np.arange(len(pairs), dtype=np.int64) * span - low
+    keys_u = np.repeat(base, len_u) + win_u[rows_u]
+    keys_v = np.repeat(base, len_v) + win_v[rows_v]
+    found = np.searchsorted(keys_v, keys_u)
+    np.minimum(found, len(keys_v) - 1, out=found)
+    hit = np.nonzero(keys_v[found] == keys_u)[0]
+    row_u = rows_u[hit]
+    row_v = rows_v[found[hit]]
+    return (
+        keys_u[hit] // span,
+        off_u[row_u],
+        count_u[row_u],
+        off_v[row_v],
+        count_v[row_v],
+    )
+
+
 def score_pairs_batch(
     left: HistoryCorpus,
     right: HistoryCorpus,
@@ -495,92 +581,25 @@ def score_pairs_batch(
     bin_comparisons = np.zeros(num_pairs, dtype=np.int64)
     common_windows = np.zeros(num_pairs, dtype=np.int64)
     alibi_bins = np.zeros(num_pairs, dtype=np.int64)
-    runaway = config.runaway_meters
-    flats_u = left.arrays()
-    flats_v = right.arrays()
+    result = BatchScoreResult(
+        scores=totals,
+        bin_comparisons=bin_comparisons,
+        common_windows=common_windows,
+        alibi_bin_pairs=alibi_bins,
+    )
+    if not num_pairs:
+        return result
+    pair_of, off_u, count_u, off_v, count_v = _join_windows(left, right, pairs)
+    if not pair_of.size:
+        return result
 
-    # Per pair, the temporal windows both entities are active in become
-    # interaction records (pair, u offset, u count, v offset, v count).
-    # Small histories (the common case) intersect through the window dicts
-    # — with an O(min) disjointness pre-reject, crucial for sparse worlds
-    # where most candidate pairs share nothing; large ones use one sorted
-    # numpy intersection.
-    pair_records: List[int] = []
-    off_u_records: List[int] = []
-    count_u_records: List[int] = []
-    off_v_records: List[int] = []
-    count_v_records: List[int] = []
-    pair_chunks: List[np.ndarray] = []
-    field_chunks: List[np.ndarray] = []
-    for index, (left_entity, right_entity) in enumerate(pairs):
-        index_u = left.window_index(left_entity)
-        index_v = right.window_index(right_entity)
-        if min(len(index_u), len(index_v)) <= _DICT_INTERSECT_MAX_WINDOWS:
-            slices_u = index_u.slices
-            slices_v = index_v.slices
-            if len(slices_u) <= len(slices_v):
-                if slices_u.keys().isdisjoint(slices_v):
-                    continue
-                for window, (offset_u, cells_u) in slices_u.items():
-                    hit = slices_v.get(window)
-                    if hit is None:
-                        continue
-                    pair_records.append(index)
-                    off_u_records.append(offset_u)
-                    count_u_records.append(cells_u)
-                    off_v_records.append(hit[0])
-                    count_v_records.append(hit[1])
-            else:
-                if slices_v.keys().isdisjoint(slices_u):
-                    continue
-                for window, (offset_v, cells_v) in slices_v.items():
-                    hit = slices_u.get(window)
-                    if hit is None:
-                        continue
-                    pair_records.append(index)
-                    off_u_records.append(hit[0])
-                    count_u_records.append(hit[1])
-                    off_v_records.append(offset_v)
-                    count_v_records.append(cells_v)
-            continue
-        _, in_u, in_v = np.intersect1d(
-            index_u.windows,
-            index_v.windows,
-            assume_unique=True,
-            return_indices=True,
-        )
-        if not in_u.size:
-            continue
-        fields = np.empty((4, in_u.size), dtype=np.int64)
-        fields[0] = index_u.offsets[in_u]
-        fields[1] = index_u.counts[in_u]
-        fields[2] = index_v.offsets[in_v]
-        fields[3] = index_v.counts[in_v]
-        pair_chunks.append(np.full(in_u.size, index, dtype=np.int64))
-        field_chunks.append(fields)
-
-    if pair_records:
-        pair_chunks.append(np.asarray(pair_records, dtype=np.int64))
-        field_chunks.append(
-            np.asarray(
-                [off_u_records, count_u_records, off_v_records, count_v_records],
-                dtype=np.int64,
-            )
-        )
-    if not pair_chunks:
-        return BatchScoreResult(
-            scores=totals,
-            bin_comparisons=bin_comparisons,
-            common_windows=common_windows,
-            alibi_bin_pairs=alibi_bins,
-        )
-
-    pair_of = np.concatenate(pair_chunks)
-    off_u, count_u, off_v, count_v = np.hstack(field_chunks)
+    comparisons = count_u * count_v
     common_windows += np.bincount(pair_of, minlength=num_pairs).astype(np.int64)
     bin_comparisons += np.bincount(
-        pair_of, weights=(count_u * count_v).astype(np.float64), minlength=num_pairs
+        pair_of, weights=comparisons.astype(np.float64), minlength=num_pairs
     ).astype(np.int64)
+    runaway = config.runaway_meters
+    cell_pairs = _CellPairs(left, right, config, int(comparisons.sum()))
 
     # Vector-shaped interactions (one cell on either side) take the flat
     # ragged path: one dispatch, no padding, no greedy loop.
@@ -588,8 +607,7 @@ def score_pairs_batch(
     if vector.any():
         members = np.nonzero(vector)[0]
         _score_vector_interactions(
-            left,
-            right,
+            cell_pairs,
             config,
             runaway,
             pair_of[members],
@@ -621,33 +639,20 @@ def score_pairs_batch(
             else:
                 valid = None
             _score_shape_group(
-                left,
-                right,
+                cell_pairs,
                 config,
                 runaway,
                 pair_of[members],
-                flats_u.slots[idx_u],
-                flats_v.slots[idx_v],
-                flats_u.cells[idx_u],
-                flats_v.cells[idx_v],
-                flats_u.idf[idx_u],
-                flats_v.idf[idx_v],
+                idx_u,
+                idx_v,
                 valid,
                 totals,
                 alibi_bins,
             )
 
     if config.use_normalization:
-        for index, (left_entity, right_entity) in enumerate(pairs):
-            norm = left.length_norm(left_entity, config.b) * right.length_norm(
-                right_entity, config.b
-            )
-            if norm > 0:
-                totals[index] /= norm
-
-    return BatchScoreResult(
-        scores=totals,
-        bin_comparisons=bin_comparisons,
-        common_windows=common_windows,
-        alibi_bin_pairs=alibi_bins,
-    )
+        norms = left.length_norms((u for u, _ in pairs), config.b) * (
+            right.length_norms((v for _, v in pairs), config.b)
+        )
+        np.divide(totals, norms, out=totals, where=norms > 0)
+    return result

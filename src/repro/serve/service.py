@@ -55,7 +55,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.streaming import StreamingLinker
 from ..data.records import Record
@@ -65,7 +65,7 @@ from .snapshot import LinkAnswer, LinkSnapshot, MatchAnswer
 
 __all__ = ["LinkageService", "BackpressureError", "SERVE_BACKPRESSURE_POLICIES"]
 
-#: How many recent query latencies the service retains for percentiles.
+#: How many recent query and relink latencies the service keeps.
 _QUERY_LATENCY_WINDOW = 8192
 
 
@@ -75,7 +75,7 @@ class BackpressureError(RuntimeError):
     The caller owns the retry decision (back off, shed load, ...)."""
 
 
-def _percentile(values: List[float], q: float) -> float:
+def _percentile(values: Sequence[float], q: float) -> float:
     """Nearest-rank percentile; NaN on empty input (renders as ``nan``)."""
     if not values:
         return float("nan")
@@ -113,7 +113,9 @@ class _Counters:
     relinks: int = 0
     relink_failures: int = 0
     queries: int = 0
-    relink_seconds: List[float] = field(default_factory=list)
+    relink_seconds: Deque[float] = field(
+        default_factory=lambda: deque(maxlen=_QUERY_LATENCY_WINDOW)
+    )
     query_seconds: Deque[float] = field(
         default_factory=lambda: deque(maxlen=_QUERY_LATENCY_WINDOW)
     )
@@ -150,8 +152,9 @@ class LinkageService:
         snapshot there (cold start if none is readable — corrupt
         snapshots warn by name); after every published relink it
         checkpoints the linker back, so a killed service resumes from
-        its last published state.  Ignored when an explicit ``linker``
-        is passed.
+        its last published state.  With an explicit ``linker`` only the
+        restore is skipped: every publish still checkpoints that linker
+        here.
 
     The service must be started before use — ``async with service:`` or
     an explicit :meth:`start` / :meth:`stop` pair.  :meth:`stop` drains

@@ -14,6 +14,7 @@ import pytest
 
 from repro.core.corpus import HistoryCorpus
 from repro.core.history import MobilityHistory
+from repro.core import kernels
 from repro.core.kernels import greedy_select_batch, score_pairs_batch
 from repro.core.pairing import greedy_index_pairs
 from repro.core.similarity import SimilarityConfig, SimilarityEngine
@@ -346,3 +347,201 @@ class TestKernelDirect:
                 assert [cell for cell, _ in annotated[window]] == cells
                 for (_, expected), got in zip(annotated[window], idf):
                     assert got == pytest.approx(expected, abs=1e-12)
+
+
+def _score_fields(result):
+    return (
+        result.scores,
+        result.bin_comparisons,
+        result.common_windows,
+        result.alibi_bin_pairs,
+    )
+
+
+def _assert_results_identical(expected, got):
+    for want, have in zip(_score_fields(expected), _score_fields(got)):
+        assert np.array_equal(want, have)
+
+
+def _force_table(monkeypatch, tabulate):
+    monkeypatch.setattr(kernels, "_slot_table_pays", lambda *_: tabulate)
+
+
+class TestSlotPairTable:
+    """Tabulated distances/proximities must equal element-wise evaluation
+    exactly — the table is a cost decision, never a numerical one."""
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("config", CONFIG_GRID, ids=lambda c: (
+        f"{c.pairing}-mfn{int(c.use_mfn)}-idf{int(c.use_idf)}"
+        f"-norm{int(c.use_normalization)}"
+    ))
+    def test_table_on_equals_table_off(self, monkeypatch, config, sparse):
+        rng = np.random.default_rng(505)
+        left = HistoryCorpus(_random_histories("l", 9, rng, sparse), LEVEL)
+        right = HistoryCorpus(_random_histories("r", 9, rng, sparse), LEVEL)
+        pairs = [(u, v) for u in left.entities for v in right.entities]
+        _force_table(monkeypatch, False)
+        elementwise = score_pairs_batch(left, right, pairs, config)
+        _force_table(monkeypatch, True)
+        tabulated = score_pairs_batch(left, right, pairs, config)
+        _assert_results_identical(elementwise, tabulated)
+        assert tabulated.common_windows.sum() > 0
+
+    def test_single_pair_without_table_equals_block_with_table(
+        self, monkeypatch
+    ):
+        """The delta-relink invariant: a re-scored pair (small block,
+        element-wise) reproduces its cold in-block (tabulated) result."""
+        rng = np.random.default_rng(606)
+        left = HistoryCorpus(_random_histories("l", 6, rng), LEVEL)
+        right = HistoryCorpus(_random_histories("r", 6, rng), LEVEL)
+        pairs = [(u, v) for u in left.entities for v in right.entities]
+        config = SimilarityConfig()
+        _force_table(monkeypatch, True)
+        block = score_pairs_batch(left, right, pairs, config)
+        _force_table(monkeypatch, False)
+        for index, pair in enumerate(pairs):
+            alone = score_pairs_batch(left, right, [pair], config)
+            for want, have in zip(_score_fields(block), _score_fields(alone)):
+                assert have[0] == want[index]
+
+
+def _reference_join(left, right, pairs):
+    """Per-pair sorted intersection of the window directories."""
+    rows = []
+    for index, (u, v) in enumerate(pairs):
+        dir_u = left.window_index(u)
+        dir_v = right.window_index(v)
+        _, in_u, in_v = np.intersect1d(
+            dir_u.windows, dir_v.windows, return_indices=True
+        )
+        for k_u, k_v in zip(in_u.tolist(), in_v.tolist()):
+            rows.append((
+                index,
+                int(dir_u.offsets[k_u]),
+                int(dir_u.counts[k_u]),
+                int(dir_v.offsets[k_v]),
+                int(dir_v.counts[k_v]),
+            ))
+    return rows
+
+
+class TestBlockWindowJoin:
+    """The one-pass block join: pair-major, windows ascending, exactly the
+    per-pair intersections."""
+
+    def _corpora(self, left_rows, right_rows):
+        def side(rows):
+            return HistoryCorpus(
+                {
+                    entity: MobilityHistory.from_columns(
+                        entity,
+                        *np.asarray(records, dtype=np.float64).T,
+                        WINDOWING,
+                        LEVEL,
+                    )
+                    for entity, records in rows.items()
+                },
+                LEVEL,
+            )
+
+        return side(left_rows), side(right_rows)
+
+    def _check(self, left, right, pairs):
+        joined = list(zip(*(a.tolist() for a in kernels._join_windows(
+            left, right, pairs
+        ))))
+        assert joined == _reference_join(left, right, pairs)
+        s_scores, s_stats, v_scores, v_stats = _score_both(
+            left.histories(), right.histories(), SimilarityConfig(), pairs
+        )
+        _assert_scores_match(s_scores, v_scores)
+        _assert_stats_match(s_stats, v_stats)
+        return joined
+
+    def test_empty_block(self):
+        left, right = self._corpora(
+            {"u": [(0.0, 37.77, -122.42)]}, {"v": [(0.0, 37.77, -122.42)]}
+        )
+        result = score_pairs_batch(left, right, [], SimilarityConfig())
+        for field in _score_fields(result):
+            assert field.shape == (0,)
+
+    def test_pairs_sharing_no_window(self):
+        left, right = self._corpora(
+            {"u": [(0.0, 37.77, -122.42), (1000.0, 37.78, -122.41)]},
+            {"v": [(5000.0, 37.77, -122.42)], "w": [(9000.0, 37.7, -122.4)]},
+        )
+        assert self._check(left, right, [("u", "v"), ("u", "w")]) == []
+        result = score_pairs_batch(
+            left, right, [("u", "v"), ("u", "w")], SimilarityConfig()
+        )
+        assert result.common_windows.tolist() == [0, 0]
+        assert result.scores.tolist() == [0.0, 0.0]
+
+    def test_single_window_entities(self):
+        left, right = self._corpora(
+            {"u": [(10.0, 37.77, -122.42)], "x": [(2000.0, 37.7, -122.3)]},
+            {"v": [(20.0, 37.78, -122.41)], "w": [(2100.0, 37.71, -122.3)]},
+        )
+        pairs = [("u", "v"), ("u", "w"), ("x", "v"), ("x", "w")]
+        joined = self._check(left, right, pairs)
+        assert [row[0] for row in joined] == [0, 3]
+
+    def test_duplicate_and_out_of_order_pairs(self):
+        rng = np.random.default_rng(707)
+        left = HistoryCorpus(_random_histories("l", 5, rng), LEVEL)
+        right = HistoryCorpus(_random_histories("r", 5, rng), LEVEL)
+        pairs = [
+            ("l3", "r0"), ("l0", "r4"), ("l3", "r0"), ("l1", "r1"),
+            ("l4", "r2"), ("l0", "r4"), ("l2", "r3"),
+        ]
+        joined = self._check(left, right, pairs)
+        order = [(row[0], row[1]) for row in joined]
+        assert order == sorted(order)  # pair-major, windows ascending
+        result = score_pairs_batch(left, right, pairs, SimilarityConfig())
+        for field in _score_fields(result):
+            assert field[0] == field[2] and field[1] == field[5]
+
+
+def test_streaming_relink_equals_cold_pipeline(cab_pair, monkeypatch):
+    """A delta relink (cached scores plus small element-wise re-score
+    blocks) ends bit-identical to one cold tabulated pipeline run."""
+    from repro.core.streaming import StreamingLinker
+    from repro.data import LocationDataset
+    from repro.pipeline import LinkageConfig, LinkagePipeline
+
+    decisions = []
+    rule = kernels._slot_table_pays
+
+    def spy(*args):
+        decisions.append(rule(*args))
+        return decisions[-1]
+
+    monkeypatch.setattr(kernels, "_slot_table_pays", spy)
+    config = LinkageConfig(executor="serial", workers=1, candidates="brute")
+    left = list(cab_pair.left.records())
+    right = list(cab_pair.right.records())
+    last = left[-1].entity_id
+    held = [record for record in left if record.entity_id == last][-3:]
+    early = [record for record in left if record not in held]
+    origin = min(cab_pair.left.time_range()[0], cab_pair.right.time_range()[0])
+
+    linker = StreamingLinker(origin, config)
+    linker.observe("left", early)
+    linker.observe("right", right)
+    linker.relink()
+    linker.observe("left", held)
+    streamed = linker.relink()
+
+    cold = LinkagePipeline(config).run(
+        LocationDataset.from_records(early + held, "left"),
+        LocationDataset.from_records(right, "right"),
+    )
+    assert True in decisions and False in decisions
+    assert streamed.links == cold.links
+    assert streamed.link_scores == cold.link_scores  # repro-lint: disable=float-score-eq -- bit-identity is the property
+    assert sorted((e.left, e.right, e.weight) for e in streamed.edges) == sorted(
+        (e.left, e.right, e.weight) for e in cold.edges
+    )

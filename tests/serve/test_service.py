@@ -470,3 +470,73 @@ class TestValidation:
         )
         assert service.queue_depth == 9
         assert service.backpressure == "block"
+
+
+class TestBoundedCounters:
+    def test_relink_latencies_keep_a_bounded_window(self, monkeypatch):
+        """A long-running service must not grow one float per relink
+        forever: relink latencies keep only the newest window, and the
+        percentiles are still reported from it."""
+        import repro.serve.service as service_module
+
+        monkeypatch.setattr(service_module, "_QUERY_LATENCY_WINDOW", 3)
+        rounds = 5
+
+        async def run():
+            async with LinkageService(origin=0.0) as service:
+                await service.submit("left", _LEFT)
+                await service.submit("right", _RIGHT)
+                await service.flush()
+                for index in range(1, rounds):
+                    await service.submit("left", [_rec("u", 10.0 + 900.0 * index)])
+                    await service.flush()
+                return service.counters.relink_seconds, service.metrics()
+
+        latencies, sample = asyncio.run(run())
+        assert sample["relinks"] == rounds
+        assert len(latencies) == 3
+        for key in ("relink_p50_s", "relink_p99_s"):
+            assert sample[key] == sample[key] and sample[key] >= 0.0  # not NaN
+
+
+class TestStateDirWithExplicitLinker:
+    def test_each_publish_checkpoints_and_restores_the_served_linker(
+        self, tmp_path
+    ):
+        """An explicit linker skips only the restore: every publish still
+        promotes a snapshot into ``state_dir``, and restoring the newest
+        one reproduces the served linker."""
+        from repro.core.streaming import StreamingLinker
+
+        state = tmp_path / "state"
+        linker = StreamingLinker(0.0, LinkageConfig())
+
+        async def run():
+            promoted = []
+            async with LinkageService(
+                origin=0.0, linker=linker, state_dir=state
+            ) as service:
+                await service.submit("left", _LEFT)
+                await service.submit("right", _RIGHT)
+                snapshots = [await service.flush()]
+                promoted.append((state / "CURRENT").read_text().strip())
+                await service.submit(
+                    "left", [_rec("p", 70.0, lat=37.60, lng=-122.50)]
+                )
+                await service.submit(
+                    "right", [_rec("q", 100.0, lat=37.60, lng=-122.50)]
+                )
+                snapshots.append(await service.flush())
+                promoted.append((state / "CURRENT").read_text().strip())
+            return snapshots, promoted
+
+        snapshots, promoted = asyncio.run(run())
+        assert [s.version for s in snapshots] == [1, 2]
+        assert promoted == ["snap-000001", "snap-000002"]
+        restored = StreamingLinker.restore(state, strict=True)
+        assert restored is not None
+        replay = restored.relink()
+        served = linker.relink()
+        assert replay.links == served.links == dict(snapshots[-1].links)
+        assert replay.link_scores == served.link_scores  # repro-lint: disable=float-score-eq -- bit-identity is the property
+        assert dict(snapshots[-1].link_scores) == served.link_scores  # repro-lint: disable=float-score-eq -- bit-identity is the property
